@@ -38,6 +38,7 @@ func BenchmarkPutDurable(b *testing.B)            { bench.Run(b, "PutDurable") }
 func BenchmarkPutDurableNoSync(b *testing.B)      { bench.Run(b, "PutDurableNoSync") }
 func BenchmarkGetWithOwnerDown(b *testing.B)      { bench.Run(b, "GetWithOwnerDown") }
 func BenchmarkPooledLookup(b *testing.B)          { bench.Run(b, "PooledLookup") }
+func BenchmarkPooledGet(b *testing.B)             { bench.Run(b, "PooledGet") }
 func BenchmarkPooledLookupJSON(b *testing.B)      { bench.Run(b, "PooledLookupJSON") }
 func BenchmarkLookupDialPerRequest(b *testing.B)  { bench.Run(b, "LookupDialPerRequest") }
 func BenchmarkLookupUnderShedding(b *testing.B)   { bench.Run(b, "LookupUnderShedding") }
@@ -60,7 +61,7 @@ func TestBenchWrappersCoverRegistry(t *testing.T) {
 		"LookupInstrumented": true, "PutGet": true,
 		"JoinLeave": true, "ReplicatedPut": true, "PutDurable": true,
 		"PutDurableNoSync": true, "GetWithOwnerDown": true,
-		"PooledLookup": true, "PooledLookupJSON": true, "LookupDialPerRequest": true,
+		"PooledLookup": true, "PooledGet": true, "PooledLookupJSON": true, "LookupDialPerRequest": true,
 		"LookupUnderShedding": true,
 		"LookupTraced":        true, "LookupTracedUnsampled": true,
 		"BlobRead": true, "BlobReadPrefetch": true, "BlobWrite": true,

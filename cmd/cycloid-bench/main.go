@@ -26,6 +26,7 @@ import (
 	"regexp"
 	"runtime"
 	"runtime/pprof"
+	"strings"
 	"testing"
 	"time"
 
@@ -44,11 +45,15 @@ type benchResult struct {
 
 // benchRun is one invocation of cycloid-bench -json.
 type benchRun struct {
-	Label      string        `json:"label"`
-	Date       string        `json:"date"`
-	GoVersion  string        `json:"go_version"`
-	GOOS       string        `json:"goos"`
-	GOARCH     string        `json:"goarch"`
+	Label     string `json:"label"`
+	Date      string `json:"date"`
+	GoVersion string `json:"go_version"`
+	GOOS      string `json:"goos"`
+	GOARCH    string `json:"goarch"`
+	// GOMAXPROCS and CPU fingerprint the machine: wall-clock figures
+	// compare only between runs that share them.
+	GOMAXPROCS int           `json:"gomaxprocs,omitempty"`
+	CPU        string        `json:"cpu,omitempty"`
 	Benchmarks []benchResult `json:"benchmarks"`
 }
 
@@ -173,11 +178,13 @@ func runBenchJSON(pattern, label, out string) error {
 	}
 
 	run := benchRun{
-		Label:     label,
-		Date:      time.Now().UTC().Format(time.RFC3339),
-		GoVersion: runtime.Version(),
-		GOOS:      runtime.GOOS,
-		GOARCH:    runtime.GOARCH,
+		Label:      label,
+		Date:       time.Now().UTC().Format(time.RFC3339),
+		GoVersion:  runtime.Version(),
+		GOOS:       runtime.GOOS,
+		GOARCH:     runtime.GOARCH,
+		GOMAXPROCS: runtime.GOMAXPROCS(0),
+		CPU:        cpuModel(),
 	}
 	matched := 0
 	for _, c := range bench.Cases() {
@@ -217,4 +224,19 @@ func runBenchJSON(pattern, label, out string) error {
 	}
 	fmt.Printf("wrote %d benchmark(s) to %s (label %q)\n", matched, out, label)
 	return nil
+}
+
+// cpuModel reads the first "model name" of /proc/cpuinfo, "unknown"
+// where there is none.
+func cpuModel() string {
+	data, err := os.ReadFile("/proc/cpuinfo")
+	if err != nil {
+		return "unknown"
+	}
+	for _, line := range strings.Split(string(data), "\n") {
+		if k, v, ok := strings.Cut(line, ":"); ok && strings.TrimSpace(k) == "model name" {
+			return strings.TrimSpace(v)
+		}
+	}
+	return "unknown"
 }

@@ -50,6 +50,7 @@ func Cases() []Case {
 		{"PutDurableNoSync", benchPutDurableNoSync},
 		{"GetWithOwnerDown", benchGetWithOwnerDown},
 		{"PooledLookup", benchPooledLookup},
+		{"PooledGet", benchPooledGet},
 		{"PooledLookupJSON", benchPooledLookupJSON},
 		{"LookupDialPerRequest", benchLookupDialPerRequest},
 		{"LookupUnderShedding", benchLookupUnderShedding},

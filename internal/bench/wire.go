@@ -81,16 +81,39 @@ func tcpCluster(b *testing.B, dim, n int, seed int64, pooled bool, wireCodec str
 // frame batching and buffer reuse actually pay; dial-per-request runs
 // sequentially, matching its recorded history.
 func benchWireLookup(b *testing.B, pooled bool, wireCodec string, mut ...func(ord int, cfg *p2p.Config)) {
+	benchWire(b, pooled, wireCodec, nil, mut...)
+}
+
+// benchWire is benchWireLookup's harness. With a non-nil value every
+// key is stored with it first and the measured operation is Get
+// instead of Lookup: the same route, the value riding back on the
+// terminal step.
+func benchWire(b *testing.B, pooled bool, wireCodec string, value []byte, mut ...func(ord int, cfg *p2p.Config)) {
 	nodes := tcpCluster(b, 6, 8, Seed, pooled, wireCodec, mut...)
 	keys := make([]string, 512)
 	for i := range keys {
 		keys[i] = fmt.Sprintf("wire-%d", i)
 	}
-	// Warm-up: route one lookup from each origin so pooled mode starts
-	// with established (and codec-negotiated) connections, matching its
-	// steady state.
+	op := func(nd *p2p.Node, key string) error {
+		_, err := nd.Lookup(key)
+		return err
+	}
+	if value != nil {
+		for i, k := range keys {
+			if err := nodes[i%len(nodes)].Put(k, value); err != nil {
+				b.Fatal(err)
+			}
+		}
+		op = func(nd *p2p.Node, key string) error {
+			_, _, err := nd.Get(key)
+			return err
+		}
+	}
+	// Warm-up: route one operation from each origin so pooled mode
+	// starts with established (and codec-negotiated) connections,
+	// matching its steady state.
 	for i, nd := range nodes {
-		if _, err := nd.Lookup(keys[i%len(keys)]); err != nil {
+		if err := op(nd, keys[i%len(keys)]); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -98,7 +121,7 @@ func benchWireLookup(b *testing.B, pooled bool, wireCodec string, mut ...func(or
 	b.ResetTimer()
 	if !pooled {
 		for i := 0; i < b.N; i++ {
-			if _, err := nodes[i%len(nodes)].Lookup(keys[i%len(keys)]); err != nil {
+			if err := op(nodes[i%len(nodes)], keys[i%len(keys)]); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -120,7 +143,7 @@ func benchWireLookup(b *testing.B, pooled bool, wireCodec string, mut ...func(or
 	b.RunParallel(func(pb *testing.PB) {
 		for pb.Next() {
 			i := int(ctr.Add(1))
-			if _, err := origin.Lookup(keys[i%len(keys)]); err != nil {
+			if err := op(origin, keys[i%len(keys)]); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -132,6 +155,14 @@ func benchWireLookup(b *testing.B, pooled bool, wireCodec string, mut ...func(or
 // step rides an established per-peer conn, correlated by request ID,
 // encoded into pooled buffers and batched per connection.
 func benchPooledLookup(b *testing.B) { benchWireLookup(b, true, "binary") }
+
+// benchPooledGet is the PooledLookup workload reading 128-byte values
+// (the kv-zipf value size) instead of resolving the route only. The
+// owner answers the read in the route's terminal step, so the
+// PooledGet/PooledLookup pair in BENCH_cycloid.json records what a read
+// adds to a lookup: the value bytes and the store access, no extra
+// exchange.
+func benchPooledGet(b *testing.B) { benchWire(b, true, "binary", make([]byte, 128)) }
 
 // benchPooledLookupJSON is the identical pooled workload forced onto
 // the v1 JSON codec. The PooledLookup/PooledLookupJSON pair in

@@ -23,6 +23,8 @@ func sampleRequests() []Request {
 		{Op: "state", From: Entry{K: 7, A: 255, Addr: "host.example:65535"}},
 		{Op: "step", From: Entry{K: 2, A: 3, Addr: "b:2"}, Target: e(5, 9000, "c:3"), GreedyOnly: true},
 		{Op: "step", From: Entry{K: 2, A: 3, Addr: "b:2"}, Target: &Entry{}},
+		// A Get's step: the key rides along for the terminal read.
+		{Op: "step", From: Entry{K: 2, A: 3, Addr: "b:2"}, Target: e(4, 21, ""), Key: "user:42", DeadlineMs: 200},
 		{Op: "store", From: Entry{K: 0, A: 0, Addr: ""}, Key: "k1", Value: []byte("v1"), Ver: 42, Src: 7},
 		{Op: "store", Key: "empty-value", Value: []byte{}}, // collapses to nil, like JSON omitempty
 		{Op: "fetch", Key: "only-key"},
@@ -57,6 +59,12 @@ func sampleResponses() []Response {
 		{OK: false, Err: "node stopped"},
 		{OK: true, Phase: "ascending", Candidates: []Entry{{K: 1, A: 2, Addr: "x:1"}, {K: 3, A: 4, Addr: "y:2"}}},
 		{OK: true, Phase: "descending", Done: true},
+		// Done steps answering a folded read: a hit, an empty stored
+		// value (collapses to nil, Found keeps it apart from a miss),
+		// and a miss.
+		{OK: true, Phase: "traverse", Done: true, Found: true, Value: []byte("folded"), Ver: 7},
+		{OK: true, Phase: "ascending", Done: true, Found: true, Value: []byte{}, Ver: 1},
+		{OK: true, Phase: "traverse", Done: true, Found: false},
 		{OK: true, Phase: "traverse", Candidates: []Entry{{}}},
 		{OK: true, Phase: "bogus-phase"},
 		{OK: true, State: st},

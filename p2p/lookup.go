@@ -37,7 +37,7 @@ func (n *Node) Lookup(key string) (Route, error) {
 // the caller budgeted rather than the full dial-timeout ladder.
 func (n *Node) LookupContext(ctx context.Context, key string) (Route, error) {
 	ot := n.beginOp("lookup", key)
-	r, err := n.routeCtx(ctx, n.keyPoint(key), ot)
+	r, _, err := n.routeAvoiding(ctx, n.keyPoint(key), "", nil, ot)
 	if id := n.endOp(ot, err); id != "" {
 		r.TraceID = id
 	}
@@ -54,7 +54,7 @@ func (n *Node) Put(key string, value []byte) error {
 func (n *Node) PutContext(ctx context.Context, key string, value []byte) (err error) {
 	ot := n.beginOp("put", key)
 	defer func() { n.endOp(ot, err) }()
-	r, err := n.routeCtx(ctx, n.keyPoint(key), ot)
+	r, _, err := n.routeAvoiding(ctx, n.keyPoint(key), "", nil, ot)
 	if err != nil {
 		return err
 	}
@@ -91,8 +91,13 @@ func (n *Node) PutContext(ctx context.Context, key string, value []byte) (err er
 	return fmt.Errorf("p2p: put %q: no node accepted ownership", key)
 }
 
-// Get fetches the value stored under key, routing from this node. When
-// the routed owner is unreachable and replication is enabled, the read
+// Get fetches the value stored under key, routing from this node. The
+// read rides the route itself: every remote step carries the key, and
+// the owner answers from its store in the same response that ends the
+// route, so a Get that hits costs one exchange per hop and no more.
+// Anything else — a miss, a route that ended at this node or short of
+// a Done decision — reads the terminal with a separate fetch. When the
+// routed owner is unreachable and replication is enabled, the read
 // falls back through the replica set: the failure is promoted into the
 // route's timeout accounting, the corpse is suspected so the re-route
 // steers around it, and the crash successor's neighborhood — where the
@@ -110,19 +115,33 @@ func (n *Node) GetContext(ctx context.Context, key string) (val []byte, r Route,
 		}
 	}()
 	kp := n.keyPoint(key)
-	r, err = n.routeCtx(ctx, kp, ot)
+	r, last, err := n.routeAvoiding(ctx, kp, key, nil, ot)
 	if err != nil {
 		return nil, r, err
 	}
-	tried := make(map[string]bool)
-	// failed collects addresses whose fetch already cost this read a
-	// timeout; the re-route is seeded with them so the same corpse is
-	// not dialed — and charged — a second time by pass-1 candidate
-	// ordering (a one-strike suspect is demoted, not skipped).
+	if last.read.found {
+		return last.read.val, r, nil
+	}
+	// A folded miss is confirmed by the fetch below: an owner whose
+	// build predates the folded read ignores the step's key and answers
+	// Done without a value, which looks like a miss.
+	if last.blocked && n.cfg.Replicas > 1 {
+		// The route stopped short because the candidates its last
+		// decision dialed were unreachable or shedding — the owner's
+		// death or overload, now met by the terminal step instead of by
+		// a fetch — so the node that kept the request serves the read
+		// past them.
+		n.tel.replicaFallbacks.Inc()
+		ot.annotate("replica-fallback")
+	}
+	// failed collects the terminals whose fetch already failed; the
+	// re-route is seeded with them so the same corpse is not dialed —
+	// and charged — a second time by pass-1 candidate ordering (a
+	// one-strike suspect is demoted, not skipped), and the replica probe
+	// skips them. Allocated only once a fetch fails.
 	var failed map[string]bool
 	term := entry{ID: r.Terminal, Addr: r.Addr}
 	for attempt := 0; attempt < n.cfg.Replicas; attempt++ {
-		tried[term.Addr] = true
 		v, found, ferr := n.fetchAt(ctx, term, key, ot)
 		if ferr == nil {
 			if found {
@@ -140,14 +159,11 @@ func (n *Node) GetContext(ctx context.Context, key string) (val []byte, r Route,
 			// around it, and it rejoins routing when its window expires.
 			n.tel.replicaFallbacks.Inc()
 		} else {
-			// Owner died between route and fetch: account the timeout,
+			// Terminal died between route and fetch: account the timeout,
 			// suspect the corpse, and re-route — candidate ordering now
 			// avoids it, so the route terminates at the crash successor.
-			r.Timeouts++
-			n.tel.timeouts.Inc()
+			n.chargeTimeout(&r, term.Addr, ot)
 			n.tel.replicaFallbacks.Inc()
-			n.suspect(term.Addr)
-			ot.force("timeout")
 		}
 		ot.annotate("replica-fallback")
 		n.log.Debug("owner unreachable, rerouting", "key", key, "owner", term.Addr, "err", ferr)
@@ -155,18 +171,14 @@ func (n *Node) GetContext(ctx context.Context, key string) (val []byte, r Route,
 			failed = make(map[string]bool)
 		}
 		failed[term.Addr] = true
-		r2, rerr := n.routeAvoiding(ctx, kp, failed, ot)
+		r2, end, rerr := n.routeAvoiding(ctx, kp, "", failed, ot)
 		if rerr != nil {
 			return nil, r, ferr
 		}
-		r.Hops += r2.Hops
-		r.Timeouts += r2.Timeouts
-		for ph, c := range r2.Phases {
-			r.Phases[ph] += c
-		}
+		r.add(r2)
 		r.Terminal, r.Addr = r2.Terminal, r2.Addr
-		term = entry{ID: r2.Terminal, Addr: r2.Addr}
-		if tried[term.Addr] {
+		term, last = entry{ID: r2.Terminal, Addr: r2.Addr}, end
+		if failed[term.Addr] {
 			break // rerouting made no progress
 		}
 	}
@@ -178,16 +190,12 @@ func (n *Node) GetContext(ctx context.Context, key string) (val []byte, r Route,
 		if v, ok := n.localFetch(key); ok {
 			return v, r, nil
 		}
-		for _, cand := range n.replicaProbes(ctx, term, kp, tried) {
-			tried[cand.Addr] = true
+		for _, cand := range n.replicaProbes(ctx, term, kp, failed) {
 			n.tel.replicaProbes.Inc()
 			v, found, ferr := n.fetchAt(ctx, cand, key, ot)
 			if ferr != nil {
 				if !IsBusy(ferr) {
-					r.Timeouts++
-					n.tel.timeouts.Inc()
-					n.suspect(cand.Addr)
-					ot.force("timeout")
+					n.chargeTimeout(&r, cand.Addr, ot)
 				}
 				continue
 			}
@@ -196,7 +204,56 @@ func (n *Node) GetContext(ctx context.Context, key string) (val []byte, r Route,
 			}
 		}
 	}
+	if !last.Done {
+		// Nothing turned up and the route stopped short. Its final
+		// decision may have skipped candidates with suspectDrop strikes
+		// that have recovered since — strikes clear only when
+		// stabilization re-probes them — so as a last resort resume the
+		// route through each of them once. A live one clears its strikes
+		// with the exchange; a dead one costs this failing read a timeout.
+		for _, w := range last.Candidates {
+			cand := toEntry(w)
+			if cand.ID == n.id || failed[cand.Addr] || n.strikesOf(cand.Addr) < suspectDrop {
+				continue
+			}
+			r2, end, rerr := n.routeTraced(ctx, cand, kp, "lookup", key, failed, ot)
+			r.add(r2)
+			if rerr != nil {
+				if ctx.Err() != nil {
+					break
+				}
+				if r2.Hops == 0 && !IsBusy(rerr) {
+					// The resumed route's first step failed: cand is dead.
+					n.chargeTimeout(&r, cand.Addr, ot)
+				}
+				continue
+			}
+			if end.read.found {
+				r.Terminal, r.Addr = r2.Terminal, r2.Addr
+				return end.read.val, r, nil
+			}
+		}
+	}
 	return nil, r, ErrNotFound
+}
+
+// add folds a follow-up route's hops, timeouts and phases into r.
+func (r *Route) add(r2 Route) {
+	r.Hops += r2.Hops
+	r.Timeouts += r2.Timeouts
+	for ph, c := range r2.Phases {
+		r.Phases[ph] += c
+	}
+}
+
+// chargeTimeout accounts one unreachable node met by a read outside
+// routing: the route's timeout count, the node's suspicion strike and
+// the forced trace.
+func (n *Node) chargeTimeout(r *Route, addr string, ot *opTrace) {
+	r.Timeouts++
+	n.tel.timeouts.Inc()
+	n.suspect(addr)
+	ot.force("timeout")
 }
 
 // localFetch reads a key from this node's own store.
@@ -225,9 +282,10 @@ func (n *Node) fetchAt(ctx context.Context, at entry, key string, ot *opTrace) (
 }
 
 // replicaProbes lists the terminal's leaf neighborhood ranked by
-// closeness to the key, excluding addresses already consulted — the
-// candidates most likely to hold a replica of the key.
-func (n *Node) replicaProbes(ctx context.Context, term entry, kp ids.CycloidID, tried map[string]bool) []entry {
+// closeness to the key, excluding the terminal itself and the addresses
+// whose read already failed — the candidates most likely to hold a
+// replica of the key.
+func (n *Node) replicaProbes(ctx context.Context, term entry, kp ids.CycloidID, failed map[string]bool) []entry {
 	st, err := n.stateOfOrLocalCtx(ctx, term)
 	if err != nil {
 		return nil
@@ -239,7 +297,7 @@ func (n *Node) replicaProbes(ctx context.Context, term entry, kp ids.CycloidID, 
 			continue
 		}
 		e := toEntry(*w)
-		if e.ID == n.id || e.Addr == term.Addr || tried[e.Addr] || seen[e.Addr] {
+		if e.ID == n.id || e.Addr == term.Addr || failed[e.Addr] || seen[e.Addr] {
 			continue
 		}
 		if n.strikesOf(e.Addr) >= suspectDrop {
@@ -262,22 +320,20 @@ func (n *Node) route(t ids.CycloidID) (Route, error) {
 	if n.isStopped() {
 		return Route{}, ErrStopped
 	}
-	return n.routeTraced(context.Background(), *n.selfEntry(), t, "stabilize", nil, nil)
+	r, _, err := n.routeTraced(context.Background(), *n.selfEntry(), t, "stabilize", "", nil, nil)
+	return r, err
 }
 
-func (n *Node) routeCtx(ctx context.Context, t ids.CycloidID, ot *opTrace) (Route, error) {
-	return n.routeAvoiding(ctx, t, nil, ot)
-}
-
-// routeAvoiding routes from this node, treating every address in avoid
-// as already dead: it is neither dialed nor charged a timeout. Reads
-// use it to re-route around an owner whose corpse they already paid for
-// once.
-func (n *Node) routeAvoiding(ctx context.Context, t ids.CycloidID, avoid map[string]bool, ot *opTrace) (Route, error) {
+// routeAvoiding routes a client operation from this node, reading key
+// on the way when it is non-empty (see routeTraced), and treating every
+// address in avoid as already dead: it is neither dialed nor charged a
+// timeout. Reads use it to re-route around an owner whose corpse they
+// already paid for once.
+func (n *Node) routeAvoiding(ctx context.Context, t ids.CycloidID, key string, avoid map[string]bool, ot *opTrace) (Route, stepResult, error) {
 	if n.isStopped() {
-		return Route{}, ErrStopped
+		return Route{}, stepResult{}, ErrStopped
 	}
-	return n.routeTraced(ctx, *n.selfEntry(), t, "lookup", avoid, ot)
+	return n.routeTraced(ctx, *n.selfEntry(), t, "lookup", key, avoid, ot)
 }
 
 // routeTraced drives an iterative lookup starting at an arbitrary live
@@ -295,7 +351,14 @@ func (n *Node) routeAvoiding(ctx context.Context, t ids.CycloidID, avoid map[str
 //
 // Every hop updates the node's metrics, and when tracing is enabled the
 // whole route is recorded as one phase-annotated trace under kind.
-func (n *Node) routeTraced(ctx context.Context, start entry, t ids.CycloidID, kind string, avoid map[string]bool, ot *opTrace) (r Route, err error) {
+//
+// The returned step is the decision the route ended on: Done unless
+// no candidate of the terminal's decision could be stepped to. A
+// non-empty key makes the route a read: every remote step carries it,
+// and a route ending on a remote Done step returns that node's answer
+// from its store as the step's terminal read. Any other ending leaves
+// the read unset.
+func (n *Node) routeTraced(ctx context.Context, start entry, t ids.CycloidID, kind, key string, avoid map[string]bool, ot *opTrace) (r Route, step stepResult, err error) {
 	r = Route{Target: t, Phases: make(map[string]int)}
 	d := n.space.Dim()
 	window := 4*d + 16
@@ -337,17 +400,17 @@ func (n *Node) routeTraced(ctx context.Context, start entry, t ids.CycloidID, ki
 	cur := start
 	best := start.ID
 	sinceImprove := 0
-	step, err := n.stepAt(ctx, cur, t, greedyOnly, ot)
+	step, err = n.stepAt(ctx, cur, t, greedyOnly, key, ot)
 	if err != nil {
-		return r, fmt.Errorf("p2p: route: first hop: %w", err)
+		return r, step, fmt.Errorf("p2p: route: first hop: %w", err)
 	}
 	for !step.Done {
 		if cerr := ctx.Err(); cerr != nil {
-			return r, fmt.Errorf("p2p: route to %v: %w", t, cerr)
+			return r, step, fmt.Errorf("p2p: route to %v: %w", t, cerr)
 		}
 		moved := false
 		// Per-hop decision accounting, reset each forwarding step.
-		hopTimeouts, hopDemoted, hopSkipped := 0, 0, 0
+		hopTimeouts, hopShed, hopDemoted, hopSkipped := 0, 0, 0, 0
 		for pass := 0; pass < 2 && !moved; pass++ {
 			for ci, w := range step.Candidates {
 				cand := toEntry(w)
@@ -369,7 +432,7 @@ func (n *Node) routeTraced(ctx context.Context, start entry, t ids.CycloidID, ki
 					n.tel.demotions.Inc()
 					continue
 				}
-				next, serr := n.stepAt(ctx, cand, t, greedyOnly, ot)
+				next, serr := n.stepAt(ctx, cand, t, greedyOnly, key, ot)
 				if serr != nil {
 					if IsBusy(serr) {
 						// Shedding, not dead: step around it this round
@@ -378,6 +441,7 @@ func (n *Node) routeTraced(ctx context.Context, start entry, t ids.CycloidID, ki
 							dead = make(map[string]bool)
 						}
 						dead[cand.Addr] = true
+						hopShed++
 						ot.force("shed")
 						continue
 					}
@@ -413,7 +477,9 @@ func (n *Node) routeTraced(ctx context.Context, start entry, t ids.CycloidID, ki
 			}
 		}
 		if !moved {
-			break // every candidate unreachable: cur keeps the request
+			// Every candidate unreachable: cur keeps the request.
+			step.blocked = hopTimeouts+hopShed > 0
+			break
 		}
 		if n.space.Closer(t, cur.ID, best) {
 			best = cur.ID
@@ -422,25 +488,25 @@ func (n *Node) routeTraced(ctx context.Context, start entry, t ids.CycloidID, ki
 			greedyOnly = true
 			n.tel.greedyFallbacks.Inc()
 			ot.force("greedy-fallback")
-			if step, err = n.stepAt(ctx, cur, t, true, ot); err != nil {
-				return r, err
+			if step, err = n.stepAt(ctx, cur, t, true, key, ot); err != nil {
+				return r, step, err
 			}
 		}
 		if r.Hops >= budget && !greedyOnly {
 			greedyOnly = true
 			n.tel.greedyFallbacks.Inc()
 			ot.force("greedy-fallback")
-			if step, err = n.stepAt(ctx, cur, t, true, ot); err != nil {
-				return r, err
+			if step, err = n.stepAt(ctx, cur, t, true, key, ot); err != nil {
+				return r, step, err
 			}
 		}
 		if r.Hops >= 2*budget {
-			return r, fmt.Errorf("p2p: route to %v did not converge", t)
+			return r, step, fmt.Errorf("p2p: route to %v did not converge", t)
 		}
 	}
 	r.Terminal = cur.ID
 	r.Addr = cur.Addr
-	return r, nil
+	return r, step, nil
 }
 
 // stepResult is a hop decision with resolved addresses.
@@ -448,25 +514,45 @@ type stepResult struct {
 	Phase      string
 	Candidates []WireEntry
 	Done       bool
+	// blocked marks the decision a route stopped short on because
+	// every candidate it dialed failed or shed, as opposed to one whose
+	// candidates were all skipped as known corpses or already found
+	// dead earlier in the route.
+	blocked bool
+	read    termRead
+}
+
+// termRead is a Get's key as read by the node whose step decision was
+// Done, answered in that step's response. found is false when the step
+// carried no key, did not end the route, or the node holds no copy.
+type termRead struct {
+	val   []byte
+	ver   uint64
+	found bool
 }
 
 // stepAt obtains the routing decision of the given node — locally when it
 // is this node, over the wire otherwise. A wire failure means the node is
 // unreachable (dead), which the caller accounts as a timeout. Each wire
-// exchange is recorded as one call span under the operation's scope.
-func (n *Node) stepAt(ctx context.Context, at entry, t ids.CycloidID, greedyOnly bool, ot *opTrace) (stepResult, error) {
+// exchange is recorded as one call span under the operation's scope. A
+// remote step carries key, when non-empty, for the terminal read.
+func (n *Node) stepAt(ctx context.Context, at entry, t ids.CycloidID, greedyOnly bool, key string, ot *opTrace) (stepResult, error) {
 	if at.ID == n.id && !n.isStopped() {
 		return n.localStep(t, greedyOnly), nil
 	}
 	tw := WireEntry{K: t.K, A: t.A}
-	req := request{Op: "step", Target: &tw, GreedyOnly: greedyOnly}
+	req := request{Op: "step", Target: &tw, GreedyOnly: greedyOnly, Key: key}
 	sid, t0 := ot.startCall(&req)
 	resp, err := n.callCtx(ctx, at.Addr, req)
 	ot.endCall(sid, t0, "step", at.Addr, err)
 	if err != nil {
 		return stepResult{}, err
 	}
-	return stepResult{Phase: resp.Phase, Candidates: resp.Candidates, Done: resp.Done}, nil
+	s := stepResult{Phase: resp.Phase, Candidates: resp.Candidates, Done: resp.Done}
+	if resp.Done && key != "" {
+		s.read = termRead{val: resp.Value, ver: resp.Ver, found: resp.Found}
+	}
+	return s, nil
 }
 
 // decodeReclaim unpacks a reclaim response batch.

@@ -139,7 +139,7 @@ func newNodeMetrics(reg *telemetry.Registry) *nodeMetrics {
 		greedyFallbacks: reg.Counter("lookup_greedy_fallbacks_total",
 			"Routes that fell back to pure greedy leaf-set forwarding after phased routing stalled."),
 		replicaFallbacks: reg.Counter("get_replica_fallbacks_total",
-			"Reads re-routed after the routed owner died between route and fetch."),
+			"Reads served past an unreachable or overloaded node: the route's last step to it failed or was shed, or the terminal's fetch failed."),
 		replicaProbes: reg.Counter("get_replica_probes_total",
 			"Leaf-neighborhood replica probes issued by reads whose terminal held no copy."),
 		putRedirects:  reg.Counter("put_redirects_total", "Store redirects followed after routing raced a membership change."),

@@ -488,6 +488,10 @@ func (n *Node) wireState() *WireState {
 
 // handleStep runs the shared routing decision on the node's local state
 // and resolves each candidate ID to the address this node knows for it.
+// A step carrying a Get's key that ends here (decision Done) is also
+// that Get's terminal read: a held value rides back in the same
+// response and counts as one served fetch. A miss is not counted here,
+// because the reader confirms it with a fetch of its own.
 func (n *Node) handleStep(req request) response {
 	if req.Target == nil {
 		return response{Err: "step without target"}
@@ -496,12 +500,15 @@ func (n *Node) handleStep(req request) response {
 	if !n.space.Contains(t) {
 		return response{Err: "target outside ID space"}
 	}
-	s := n.localStep(t, req.GreedyOnly)
-	return response{Phase: s.Phase, Candidates: s.Candidates, Done: s.Done}
+	s := n.localStepRead(t, req.GreedyOnly, req.Key)
+	resp := response{Phase: s.Phase, Candidates: s.Candidates, Done: s.Done}
+	if s.read.found {
+		n.tel.request("fetch")
+		resp.Value, resp.Found, resp.Ver = s.read.val, s.read.found, s.read.ver
+	}
+	return resp
 }
 
-// localStep runs the shared routing decision on this node's own state
-// and resolves each candidate ID to the address this node knows for it.
 // stepScratch bundles the reusable buffers of one local routing
 // decision — the snapshot backing and the decision working set — so the
 // per-request cost of a step is the candidate slice and nothing else.
@@ -512,12 +519,26 @@ type stepScratch struct {
 
 var stepScratchPool = sync.Pool{New: func() any { return new(stepScratch) }}
 
+// localStep runs the shared routing decision on this node's own state
+// and resolves each candidate ID to the address this node knows for it.
 func (n *Node) localStep(t ids.CycloidID, greedyOnly bool) stepResult {
+	return n.localStepRead(t, greedyOnly, "")
+}
+
+// localStepRead is localStep that, for a non-empty key and a Done
+// decision, also reads the key from the store under the same read lock
+// as the decision, so the value is the one the deciding state owns.
+func (n *Node) localStepRead(t ids.CycloidID, greedyOnly bool, key string) stepResult {
 	ss := stepScratchPool.Get().(*stepScratch)
 	n.mu.RLock()
 	st := n.snapshotLockedInto(&ss.ids)
 	step := cycloid.DecideStepScratch(n.space, &st, t, greedyOnly, &ss.sc)
 	out := stepResult{Phase: step.Phase.String(), Done: len(step.Candidates) == 0}
+	if out.Done && key != "" {
+		if it, ok := n.store.Get(key); ok {
+			out.read = termRead{val: it.Val, ver: it.Ver, found: true}
+		}
+	}
 	if len(step.Candidates) > 0 {
 		// Resolved under the same lock as the snapshot, so the addresses
 		// are consistent with the state the decision was made on.

@@ -109,9 +109,9 @@ func TestGetTimeoutSingleCharge(t *testing.T) {
 		t.Fatalf("reader already has %d strikes on the owner", got)
 	}
 
-	// Let the route's single step dial through, then kill the owner for
-	// the fetch and everything after it.
-	readerGate.arm(owner.Addr(), 1)
+	// Kill the owner for the route's single step — the step that would
+	// have ended the route and answered the read — and everything after.
+	readerGate.arm(owner.Addr(), 0)
 
 	before := reader.Telemetry().CounterValue("cycloid_lookup_timeouts_total")
 	v, r, err := reader.Get(key)
@@ -127,6 +127,85 @@ func TestGetTimeoutSingleCharge(t *testing.T) {
 	after := reader.Telemetry().CounterValue("cycloid_lookup_timeouts_total")
 	if delta := after - before; delta != uint64(r.Timeouts) {
 		t.Fatalf("lookup_timeouts_total moved by %d, Route.Timeouts = %d; accounting diverged", delta, r.Timeouts)
+	}
+}
+
+// TestGetStopShortFetchFailure covers the fetch a read still sends when
+// its route stops short: the owner sheds the terminal step, so the
+// route stops at the node before it (one replica fallback), and
+// that neighbor dies before the fetch. The failed fetch must cost
+// exactly one timeout and a second fallback, and the re-route must not
+// dial the corpse again.
+func TestGetStopShortFetchFailure(t *testing.T) {
+	nw := memnet.New(707)
+	var hook *hookTransport
+	// The seeded topology of TestTraceAcceptance, read from node 1,
+	// whose route to node 0's keys visits node 4 just before the owner.
+	// (From node 3, node 4 is also the only leaf-set link toward the
+	// owner, so once it dies the re-route cannot reach any replica until
+	// stabilization repairs the leaf sets; ROADMAP lists that gap.)
+	const originOrd, neighborOrd = 1, 4
+	nodes := traceCluster(t, nw, 6, 8, 707, func(ord int, cfg *Config) {
+		cfg.Replicas = 3
+		if ord == 0 {
+			cfg.MaxInflight = 1
+			cfg.QueueDepth = 1
+		}
+		if ord == originOrd {
+			hook = &hookTransport{inner: cfg.Transport}
+			cfg.Transport = hook
+		}
+	})
+	owner, origin, neighbor := nodes[0], nodes[originOrd], nodes[neighborOrd]
+	key := victimKey(t, nodes, owner)
+	if err := origin.Put(key, []byte("v")); err != nil {
+		t.Fatal(err)
+	}
+
+	ownerBefore := hook.dialsTo(owner.Addr())
+	nbBefore := hook.dialsTo(neighbor.Addr())
+	if _, err := origin.Lookup(key); err != nil {
+		t.Fatal(err)
+	}
+	ownerDials := hook.dialsTo(owner.Addr()) - ownerBefore
+	nbDials := hook.dialsTo(neighbor.Addr()) - nbBefore
+	if ownerDials == 0 || nbDials == 0 {
+		t.Fatalf("route dialed the owner %d and the neighbor %d times: the seeded topology changed, update neighborOrd", ownerDials, nbDials)
+	}
+	var unsaturate func()
+	hook.arm(owner.Addr(), ownerDials-1, func() { unsaturate = saturate(t, owner) })
+	hook.arm(neighbor.Addr(), nbDials, func() { neighbor.Close() })
+	defer func() {
+		if unsaturate != nil {
+			unsaturate()
+		}
+	}()
+
+	tel := origin.Telemetry()
+	timeouts0 := tel.CounterValue("cycloid_lookup_timeouts_total")
+	fallbacks0 := tel.CounterValue("cycloid_get_replica_fallbacks_total")
+	nbBefore = hook.dialsTo(neighbor.Addr())
+	v, r, err := origin.Get(key)
+	if err != nil || string(v) != "v" {
+		t.Fatalf("Get = %q, %v", v, err)
+	}
+	if unsaturate == nil {
+		t.Fatal("saturation hook never fired; the terminal step was not shed")
+	}
+	if r.Terminal == neighbor.ID() || r.Terminal == owner.ID() {
+		t.Fatalf("read served by %v, want a surviving replica other than the dead neighbor and the shedding owner", r.Terminal)
+	}
+	if r.Timeouts != 1 {
+		t.Fatalf("the neighbor's death charged %d timeouts, want exactly 1", r.Timeouts)
+	}
+	if delta := tel.CounterValue("cycloid_lookup_timeouts_total") - timeouts0; delta != 1 {
+		t.Fatalf("lookup_timeouts_total moved by %d, want 1", delta)
+	}
+	if delta := tel.CounterValue("cycloid_get_replica_fallbacks_total") - fallbacks0; delta != 2 {
+		t.Fatalf("get_replica_fallbacks_total moved by %d, want 2 (route stopped at the shedding owner, failed fetch)", delta)
+	}
+	if got := hook.dialsTo(neighbor.Addr()) - nbBefore; got != nbDials+1 {
+		t.Fatalf("origin dialed the neighbor %d times, want %d route steps + 1 fetch and no re-route dial", got, nbDials)
 	}
 }
 

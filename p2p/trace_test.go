@@ -99,16 +99,20 @@ func victimKey(t *testing.T, nodes []*Node, victim *Node) string {
 }
 
 // hookTransport wraps a Transport, counts dials per address, and after
-// a fixed number of allowed dials to one address either runs a one-shot
+// a fixed number of allowed dials to an address either runs a one-shot
 // hook immediately before the next dial proceeds (arm) or fails every
 // further dial (armBlock) — the deterministic levers for changing
-// cluster state between a route and its fetch.
+// cluster state in the middle of one operation. Each address has its
+// own gate, so several can be armed at once.
 type hookTransport struct {
 	inner Transport
 
-	mu      sync.Mutex
-	dials   map[string]int
-	addr    string
+	mu    sync.Mutex
+	dials map[string]int
+	gates map[string]*dialGate
+}
+
+type dialGate struct {
 	allow   int
 	hook    func()
 	blocked bool
@@ -124,20 +128,21 @@ func (h *hookTransport) Dial(addr string, timeout time.Duration) (net.Conn, erro
 	h.dials[addr]++
 	run := func() {}
 	fail := false
-	if addr == h.addr && (h.hook != nil || h.blocked) {
-		if h.allow > 0 {
-			h.allow--
-		} else if h.blocked {
+	if g := h.gates[addr]; g != nil {
+		if g.allow > 0 {
+			g.allow--
+		} else if g.blocked {
 			fail = true
 		} else {
-			run, h.hook = h.hook, nil
+			run = g.hook
+			delete(h.gates, addr)
 		}
 	}
 	h.mu.Unlock()
 	if fail {
 		return nil, fmt.Errorf("hook: %s blocked", addr)
 	}
-	run()
+	run() // outside the lock: a hook may re-arm this transport
 	return h.inner.Dial(addr, timeout)
 }
 
@@ -150,15 +155,20 @@ func (h *hookTransport) dialsTo(addr string) int {
 // arm runs hook once, before the dial to addr that follows allow more
 // allowed dials.
 func (h *hookTransport) arm(addr string, allow int, hook func()) {
-	h.mu.Lock()
-	h.addr, h.allow, h.hook, h.blocked = addr, allow, hook, false
-	h.mu.Unlock()
+	h.setGate(addr, &dialGate{allow: allow, hook: hook})
 }
 
 // armBlock fails every dial to addr after allow more allowed dials.
 func (h *hookTransport) armBlock(addr string, allow int) {
+	h.setGate(addr, &dialGate{allow: allow, blocked: true})
+}
+
+func (h *hookTransport) setGate(addr string, g *dialGate) {
 	h.mu.Lock()
-	h.addr, h.allow, h.hook, h.blocked = addr, allow, nil, true
+	if h.gates == nil {
+		h.gates = make(map[string]*dialGate)
+	}
+	h.gates[addr] = g
 	h.mu.Unlock()
 }
 
@@ -286,9 +296,10 @@ func TestTraceForcedOnShed(t *testing.T) {
 }
 
 // TestTraceForcedOnOwnerCrash: at TraceSample=0, an owner that dies
-// between route and fetch forces sampling; the replica-fallback arc
-// (timeout, re-route, surviving copy) reconstructs into a rooted tree
-// annotated "timeout" and "replica-fallback".
+// just before the route's terminal step — the step that would have
+// answered the read — forces sampling; the replica-fallback arc
+// (timeout, route stopped short, surviving copy) reconstructs into a
+// rooted tree annotated "timeout" and "replica-fallback".
 func TestTraceForcedOnOwnerCrash(t *testing.T) {
 	nw := memnet.New(606)
 	var gate *hookTransport
@@ -308,21 +319,22 @@ func TestTraceForcedOnOwnerCrash(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Count the route's dials to the owner, then let exactly that many
-	// through on the real Get: the fetch that follows hits a corpse.
+	// Count the route's dials to the owner, then let all but the last
+	// through on the real Get: the terminal step, which carries the
+	// read, hits a corpse.
 	before := gate.dialsTo(victim.Addr())
 	if _, err := reader.Lookup(key); err != nil {
 		t.Fatal(err)
 	}
 	routeDials := gate.dialsTo(victim.Addr()) - before
-	gate.armBlock(victim.Addr(), routeDials)
+	gate.armBlock(victim.Addr(), routeDials-1)
 
 	v, r, err := reader.Get(key)
 	if err != nil || string(v) != "v" {
 		t.Fatalf("Get across owner crash = %q, %v", v, err)
 	}
 	if r.Timeouts == 0 {
-		t.Fatal("owner crash charged no timeout; the gate did not fire on the fetch")
+		t.Fatal("owner crash charged no timeout; the gate did not fire on the terminal step")
 	}
 	if r.TraceID == "" {
 		t.Fatal("owner crash did not force a trace ID onto the route")
@@ -340,23 +352,30 @@ func TestTraceForcedOnOwnerCrash(t *testing.T) {
 	}
 }
 
-// TestTraceAcceptance is the issue's end-to-end criterion: a sampled
-// lookup across >=3 memnet nodes that experiences one shed-and-retry
-// and one replica fallback reconstructs into a single rooted span tree
-// whose per-hop attribution sums to within 5% of the client-observed
-// latency — on both codecs.
+// TestTraceAcceptance is the tracing tier's end-to-end criterion: a
+// sampled lookup across >=3 memnet nodes that experiences one shed, one
+// retry and one replica fallback reconstructs into a single rooted span
+// tree whose per-hop attribution sums to within 5% of the
+// client-observed latency — on both codecs.
+//
+// The owner sheds the route's terminal step, so the route stops short
+// at the owner's leaf neighbor (replica fallback). Routing never
+// retries a shed hop, so the retry is on the read that follows: the
+// fallback node sheds its fetch once and admits the retry.
 func TestTraceAcceptance(t *testing.T) {
 	for _, wc := range []string{"json", "binary"} {
 		t.Run(wc, func(t *testing.T) {
 			nw := memnet.New(707)
 			var hook *hookTransport
-			const originOrd = 3
+			// fallbackOrd is the node this seed's route visits just
+			// before the owner; checked below against the Get's route.
+			const originOrd, fallbackOrd = 3, 4
 			nodes := traceCluster(t, nw, 6, 8, 707, func(ord int, cfg *Config) {
 				cfg.Replicas = 3
 				cfg.TraceSample = 1
 				cfg.SpanBuffer = 1 << 14
 				cfg.WireCodec = wc
-				if ord == 0 {
+				if ord == 0 || ord == fallbackOrd {
 					cfg.MaxInflight = 1
 					cfg.QueueDepth = 1
 				}
@@ -372,24 +391,38 @@ func TestTraceAcceptance(t *testing.T) {
 				t.Fatal(err)
 			}
 
-			// Count the route's dials to the owner, then saturate its
-			// admission controller immediately before the dial after
-			// those — the Get's fetch. The fetch is shed and retried
-			// until the retries are shed too; the read then falls back
-			// through the replica set.
-			before := hook.dialsTo(victim.Addr())
+			// Count the route's dials to the owner and to the node
+			// before it. Saturate the owner immediately before the last
+			// of its dials — the terminal step — and the fallback node
+			// immediately before the first dial after its route dials —
+			// the fetch — releasing it again before the retry's dial.
+			fallback := nodes[fallbackOrd]
+			ownerBefore := hook.dialsTo(victim.Addr())
+			fbBefore := hook.dialsTo(fallback.Addr())
 			if _, err := origin.Lookup(key); err != nil {
 				t.Fatal(err)
 			}
-			routeDials := hook.dialsTo(victim.Addr()) - before
-			var unsaturate func()
-			hook.arm(victim.Addr(), routeDials, func() { unsaturate = saturate(t, victim) })
+			ownerDials := hook.dialsTo(victim.Addr()) - ownerBefore
+			fbDials := hook.dialsTo(fallback.Addr()) - fbBefore
+			var unsaturate, unsaturateFB func()
+			hook.arm(victim.Addr(), ownerDials-1, func() { unsaturate = saturate(t, victim) })
+			hook.arm(fallback.Addr(), fbDials, func() {
+				unsaturateFB = saturate(t, fallback)
+				hook.arm(fallback.Addr(), 0, func() {
+					unsaturateFB()
+					unsaturateFB = nil
+				})
+			})
 			defer func() {
 				if unsaturate != nil {
 					unsaturate()
 				}
+				if unsaturateFB != nil {
+					unsaturateFB()
+				}
 			}()
 
+			retriesBefore := origin.Telemetry().CounterValue("cycloid_retries_total")
 			t0 := time.Now()
 			v, r, err := origin.GetContext(context.Background(), key)
 			observed := time.Since(t0)
@@ -397,14 +430,18 @@ func TestTraceAcceptance(t *testing.T) {
 				t.Fatalf("Get = %q, %v", v, err)
 			}
 			if unsaturate == nil {
-				t.Fatal("saturation hook never fired; fetch was not shed")
+				t.Fatal("saturation hook never fired; terminal step was not shed")
+			}
+			if r.Terminal != fallback.ID() {
+				t.Fatalf("route stopped at %v, want the owner's predecessor %v: the seeded topology changed, update fallbackOrd",
+					r.Terminal, fallback.ID())
 			}
 			if r.TraceID == "" {
 				t.Fatal("no trace ID on the route")
 			}
-			retries := origin.Telemetry().CounterValue("cycloid_retries_total")
+			retries := origin.Telemetry().CounterValue("cycloid_retries_total") - retriesBefore
 			if retries == 0 {
-				t.Fatal("fetch against the saturated owner was not retried")
+				t.Fatal("fetch against the saturated fallback node was not retried")
 			}
 
 			tree := findTree(t, nodes, r.TraceID)
